@@ -16,7 +16,10 @@ Current suites:
   (:mod:`repro.perf.setwise`), plus, in full mode, every ``bench_*.py``
   via pytest.  Acceptance: 200-schema ``join_all`` ≥ ``--min-speedup``
   (5x) over the reference AND 320-schema ``join_all`` ≥
-  ``--min-kernel-speedup`` (5x) over the set-based engine.
+  ``--min-kernel-speedup`` (5x) over the set-based engine AND
+  views-medium ``properize`` on cold inputs ≥
+  ``--min-properize-speedup`` (10x) over the set-based construction
+  (:func:`repro.perf.reference.reference_properize`).
 * ``service`` — the long-lived :class:`repro.service.MergeService`
   replaying named request streams (:mod:`repro.generators.workloads`).
   Acceptance: warm ``merged_view`` ≥ ``--min-view-speedup`` (10x) over
@@ -80,6 +83,7 @@ from repro.perf.reference import (  # noqa: E402
 
 ACCEPTANCE_SIZE = 200
 KERNEL_ACCEPTANCE_SIZE = 320
+PROPERIZE_ACCEPTANCE_WORKLOAD = "views-medium"
 
 # Suites whose bench_*.py files time through the conftest ``perf_record``
 # fixture (--bench-json) rather than pytest-benchmark.
@@ -227,6 +231,72 @@ def run_kernels(sizes: List[int], repeat: int) -> List[Dict[str, Any]]:
             )
         )
     return records
+
+
+def run_properize_kernel(workload: str, repeat: int) -> List[Dict[str, Any]]:
+    """Dense properization versus the set-based construction, cold inputs.
+
+    Every repeat properizes a weak schema built fresh in ``setup``
+    (caches cleared, family regenerated, weak-merged): per-``Schema``
+    derived state survives ``clear_caches()``, so reusing one weak
+    schema would time its decoded reach index as free.  The baseline is
+    :func:`repro.perf.reference.reference_properize`, the preserved
+    set-based construction, on equally fresh inputs.
+    """
+    from repro.core.implicit import properize
+    from repro.core.merge import weak_merge
+    from repro.generators.workloads import get_workload
+    from repro.perf.reference import reference_properize
+
+    make = get_workload(workload).schemas
+    inputs: Dict[str, Any] = {}
+    results: Dict[str, Any] = {}
+
+    def fresh_weak() -> None:
+        clear_caches()
+        inputs["weak"] = weak_merge(*make())
+
+    dense = time_call(
+        lambda: results.__setitem__("dense", properize(inputs["weak"])),
+        repeat=repeat,
+        setup=fresh_weak,
+    )
+    reference = time_call(
+        lambda: results.__setitem__(
+            "ref", reference_properize(inputs["weak"])
+        ),
+        repeat=repeat,
+        setup=fresh_weak,
+    )
+    if results["dense"] != results["ref"]:
+        raise AssertionError(
+            f"dense properize disagrees with the set-based one on {workload}"
+        )
+    speedup = reference["best_s"] / dense["best_s"]
+    print(
+        f"  kernel_properize/{workload}: dense "
+        f"{dense['best_s'] * 1000:.1f} ms, set-based "
+        f"{reference['best_s'] * 1000:.1f} ms ({speedup:.1f}x)"
+    )
+    classes = len(results["dense"].classes)
+    return [
+        record(
+            f"kernel_properize/{workload}",
+            "kernels",
+            dense,
+            cold_inputs=True,
+            classes=classes,
+            acceptance=(workload == PROPERIZE_ACCEPTANCE_WORKLOAD),
+            speedup_vs_reference_properize=speedup,
+        ),
+        record(
+            f"reference_properize/{workload}",
+            "kernels",
+            reference,
+            cold_inputs=True,
+            classes=classes,
+        ),
+    ]
 
 
 def run_memoization(repeat: int) -> List[Dict[str, Any]]:
@@ -389,6 +459,9 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
     records = run_scalability(sizes, repeat)
     print("dense kernels:")
     records += run_kernels(kernel_sizes, repeat)
+    records += run_properize_kernel(
+        "views-small" if args.smoke else PROPERIZE_ACCEPTANCE_WORKLOAD, repeat
+    )
     print("memoization:")
     records += run_memoization(repeat)
     print("lower merge:")
@@ -397,9 +470,11 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
         print("pytest suites:")
         # bench_service belongs to the service suite's artifact (timing
         # its heavy workloads here too would double-measure them), and
-        # bench_http owns its own server subprocesses — it is driven by
-        # the http suite, not collectable as pytest tests.
-        records += run_pytest_suites(skip=["bench_service", "bench_http"])
+        # bench_http / bench_persistence are driven by their own suites
+        # — neither holds pytest tests.
+        records += run_pytest_suites(
+            skip=["bench_service", "bench_http", "bench_persistence"]
+        )
 
     acceptance = [
         r
@@ -443,6 +518,31 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
             print(
                 f"FAIL: kernel speedup {summary['kernel_speedup']:.2f}x "
                 f"< required {args.min_kernel_speedup}x vs setwise",
+                file=sys.stderr,
+            )
+    properize_acceptance = [
+        r
+        for r in records
+        if r.get("acceptance")
+        and r.get("speedup_vs_reference_properize") is not None
+    ]
+    if properize_acceptance:
+        summary["properize_speedup"] = properize_acceptance[0][
+            "speedup_vs_reference_properize"
+        ]
+        summary["min_properize_speedup_required"] = args.min_properize_speedup
+        properize_pass = (
+            summary["properize_speedup"] >= args.min_properize_speedup
+        )
+        summary["acceptance_pass"] = (
+            summary.get("acceptance_pass", True) and properize_pass
+        )
+        if properize_pass:
+            print(f"properize speedup: {summary['properize_speedup']:.1f}x")
+        else:
+            print(
+                f"FAIL: properize speedup {summary['properize_speedup']:.2f}x "
+                f"< required {args.min_properize_speedup}x vs set-based",
                 file=sys.stderr,
             )
     return records, {"summary": summary, "engine_stats": engine_stats()}
@@ -746,6 +846,15 @@ def main(argv: List[str] = None) -> int:
         help=(
             "merge_engine acceptance floor for 320-schema join_all over "
             "the set-based engine (repro.perf.setwise)"
+        ),
+    )
+    parser.add_argument(
+        "--min-properize-speedup",
+        type=float,
+        default=10.0,
+        help=(
+            "merge_engine acceptance floor for views-medium properize "
+            "over the set-based construction, on cold inputs"
         ),
     )
     parser.add_argument(

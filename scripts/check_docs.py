@@ -35,6 +35,7 @@ DOCTEST_MODULES = [
     "repro.check.diagnostics",
     "repro.check.runner",
     "repro.check.witness",
+    "repro.core.relations",
     "repro.core.schema",
     "repro.obs",
     "repro.obs.exporters",
@@ -47,6 +48,7 @@ DOCTEST_MODULES = [
     "repro.perf.memo",
     "repro.perf.closure",
     "repro.perf.namespace",
+    "repro.perf.proper",
     "repro.perf.reference",
     "repro.perf.setwise",
     "repro.perf.timing",

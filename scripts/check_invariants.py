@@ -11,7 +11,9 @@ The CI ``check`` job's entry point, runnable locally with no arguments::
    fails the run; warnings fail too (CI is strict — a human running
    ``schema-merge check`` without ``--strict`` can triage warnings).
 2. **mypy --strict** — over the typed service core (``repro.service``,
-   ``repro.obs``, ``repro.check``), configured in ``pyproject.toml``.
+   ``repro.obs``, ``repro.check``) and the typed dense kernels
+   (``repro.perf.namespace``, ``repro.perf.proper``), configured in
+   ``pyproject.toml``.
    mypy is a CI-installed dev dependency, not a runtime one: when it
    is not importable the step is *skipped with a notice*, not failed,
    so the script stays runnable in minimal environments.
@@ -34,6 +36,7 @@ MYPY_TARGETS = [
     str(ROOT / "src" / "repro" / "obs"),
     str(ROOT / "src" / "repro" / "check"),
     str(ROOT / "src" / "repro" / "perf" / "namespace.py"),
+    str(ROOT / "src" / "repro" / "perf" / "proper.py"),
 ]
 
 

@@ -21,18 +21,21 @@ proper schema with ``G ⊑ Ḡ``, and — because implicit names record their
 origin — repeating the construction across successive merges stays
 associative (the Figure 4/5 example).
 
-This module implements the construction exactly, plus the helpers the
+This module is the construction's public face, plus the helpers the
 rest of the library needs: detecting/stripping implicit classes and
-computing ``Imp`` on its own (used by the growth benchmarks).
+computing ``Imp`` on its own (used by the growth benchmarks).  The
+construction itself runs on dense-id bitmasks in
+:mod:`repro.perf.proper`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import FrozenSet, Set
 
-from repro.core.names import ClassName, GenName, ImplicitName, Label
-from repro.core.proper import check_proper
+from repro.core.names import ClassName, GenName, ImplicitName
 from repro.core.schema import Schema
+from repro.perf.proper import imp_state, member_sets
+from repro.perf.proper import properize as dense_properize
 
 __all__ = [
     "reachable_sets",
@@ -68,33 +71,18 @@ def strip_implicits(schema: Schema) -> Schema:
 def reachable_sets(schema: Schema) -> Set[FrozenSet[ClassName]]:
     """The paper's ``I∞``: every ``R(X, a)`` reachable from a singleton.
 
-    Computed as a worklist fixpoint.  Only non-empty reach sets are kept
-    (empty sets have ``|MinS| = 0`` and can never contribute an implicit
-    class, and dropping them keeps the fixpoint small).
+    Computed as a worklist fixpoint over dense-id masks
+    (:func:`repro.perf.proper.imp_state`).  Only non-empty reach sets
+    are kept (empty sets have ``|MinS| = 0`` and can never contribute
+    an implicit class, and dropping them keeps the fixpoint small).
     """
-    seen: Set[FrozenSet[ClassName]] = set()
-    frontier: List[FrozenSet[ClassName]] = [
-        frozenset({p}) for p in schema.classes
-    ]
-    labels = schema.labels()
-    while frontier:
-        current = frontier.pop()
-        for label in labels:
-            reached = schema.reach_set(current, label)
-            if reached and reached not in seen:
-                seen.add(reached)
-                frontier.append(reached)
-    return seen
+    state = imp_state(schema)
+    return {state.decode(mask) for mask in state.reach_sets}
 
 
 def implicit_sets(schema: Schema) -> Set[FrozenSet[ClassName]]:
     """The paper's ``Imp``: minimal-element sets of size > 1 in ``I∞``."""
-    result: Set[FrozenSet[ClassName]] = set()
-    for reached in reachable_sets(schema):
-        minimal = schema.min_classes(reached)
-        if len(minimal) > 1:
-            result.add(minimal)
-    return result
+    return member_sets(imp_state(schema))
 
 
 def properize(schema: Schema) -> Schema:
@@ -112,68 +100,14 @@ def properize(schema: Schema) -> Schema:
        specializes ``p``, and ``p ==> X̄`` when ``p`` specializes every
        member of ``X``.
 
-    The result is a proper schema with ``schema ⊑ properize(schema)``;
-    both facts are asserted here (cheaply — properness witnesses come
-    for free) and re-checked at scale by the property tests.  A schema
-    that is already proper and has no multi-minimal reach sets is
-    returned unchanged (the construction is idempotent).
+    Every step runs on the weak schema's dense-id bitmasks and the
+    closed result is emitted in dense form
+    (:func:`repro.perf.proper.properize`); the set-based construction
+    survives as :func:`repro.perf.reference.reference_properize`, the
+    oracle the property tests compare against.  The result is a proper
+    schema with ``schema ⊑ properize(schema)``; properness is checked
+    on the emitted rows.  A schema that is already proper and has no
+    multi-minimal reach sets is returned unchanged (the construction is
+    idempotent).
     """
-    imp = implicit_sets(schema)
-    if not imp:
-        return check_proper(schema)
-
-    name_of: Dict[FrozenSet[ClassName], ImplicitName] = {
-        member_set: ImplicitName(member_set) for member_set in imp
-    }
-    # Deduplicate by name: flattening may identify member sets; keep the
-    # minimal classes of their union as the single definition.
-    members_of: Dict[ImplicitName, FrozenSet[ClassName]] = {}
-    for member_set, label in name_of.items():
-        if label in members_of:
-            members_of[label] = schema.min_classes(
-                members_of[label] | member_set
-            )
-        else:
-            members_of[label] = member_set
-
-    new_classes = set(schema.classes) | set(members_of)
-
-    # --- arrows -------------------------------------------------------
-    def reach_bar(node: ClassName, label: Label) -> FrozenSet[ClassName]:
-        if isinstance(node, ImplicitName) and node in members_of:
-            return schema.reach_set(members_of[node], label)
-        return schema.reach(node, label)
-
-    labels = schema.labels()
-    new_arrows: Set[Tuple[ClassName, Label, ClassName]] = set()
-    for node in new_classes:
-        for label in labels:
-            reached = reach_bar(node, label)
-            if not reached:
-                continue
-            for target in reached:
-                new_arrows.add((node, label, target))
-            reached_size = len(reached)
-            for imp_label, imp_members in members_of.items():
-                if len(imp_members) <= reached_size and imp_members <= reached:
-                    new_arrows.add((node, label, imp_label))
-
-    # --- specializations ----------------------------------------------
-    new_spec: Set[Tuple[ClassName, ClassName]] = set(schema.spec)
-    spec_pairs = schema.spec
-    for x_label, x_members in members_of.items():
-        for y_label, y_members in members_of.items():
-            if x_label != y_label and all(
-                any((q, p) in spec_pairs for q in x_members) for p in y_members
-            ):
-                new_spec.add((x_label, y_label))
-        for p in schema.classes:
-            if any((q, p) in spec_pairs for q in x_members):
-                new_spec.add((x_label, p))
-            if all((p, q) in spec_pairs for q in x_members):
-                new_spec.add((p, x_label))
-
-    result = Schema.build(
-        classes=new_classes, arrows=new_arrows, spec=new_spec
-    )
-    return check_proper(result)
+    return dense_properize(schema)

@@ -39,6 +39,7 @@ from repro.core.implicit import (
 from repro.core.names import ClassName
 from repro.core.ordering import join_all
 from repro.core.schema import Schema
+from repro.perf import proper as proper_kernels
 
 __all__ = ["weak_merge", "upper_merge", "merge_report", "MergeReport"]
 
@@ -92,7 +93,10 @@ def upper_merge(
     if strip_derived:
         schemas = tuple(strip_implicits(g) for g in schemas)
     weak = weak_merge(*schemas, assertions=assertions)
-    check_consistency(implicit_sets(weak), consistency)
+    if consistency is not None:
+        # Imp is computed again inside properize; only vetting needs it
+        # here, so an unvetted merge computes it once.
+        check_consistency(implicit_sets(weak), consistency)
     return properize(weak)
 
 
@@ -150,9 +154,11 @@ def merge_report(
         else tuple(schemas)
     )
     weak = weak_merge(*inputs, assertions=assertion_list)
-    member_sets = implicit_sets(weak)
+    # One I∞ fixpoint serves the vetting, the report and the result.
+    state = proper_kernels.imp_state(weak)
+    member_sets = proper_kernels.member_sets(state)
     check_consistency(member_sets, consistency)
-    merged = properize(weak)
+    merged = proper_kernels.properize(weak, state)
     return MergeReport(
         inputs=tuple(schemas),
         assertions=tuple(assertion_list),

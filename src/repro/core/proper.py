@@ -28,12 +28,25 @@ diagnostics for properness itself.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.core import relations
 from repro.core.names import ClassName, Label, name, names, sort_key
 from repro.core.schema import Schema, SpecEdge
 from repro.exceptions import NotProperError, SchemaValidationError
+
+if TYPE_CHECKING:
+    from repro.perf.closure import DenseClosure
 
 __all__ = [
     "canonical_class",
@@ -79,7 +92,14 @@ def properness_violations(
 
     The returned minimal-target sets are exactly the witnesses that the
     properization of section 4.2 turns into implicit classes.
+
+    A schema carrying dense-id rows (``join_all`` and ``properize``
+    results) is checked on its masks: each distinct row mask is tested
+    once for a least element, and only violating rows are decoded.
     """
+    dense = getattr(schema, "_dense", None)
+    if dense is not None:
+        return _dense_violations(dense)
     found = []
     spec = schema.spec
     for (cls, label), targets in sorted(
@@ -90,6 +110,34 @@ def properness_violations(
             found.append(
                 (cls, label, relations.minimal_elements(targets, spec))
             )
+    return found
+
+
+def _dense_violations(
+    dense: "DenseClosure",
+) -> List[Tuple[ClassName, Label, FrozenSet[ClassName]]]:
+    """:func:`properness_violations` over id-space rows.
+
+    A non-empty mask has a least element exactly when its ``MinS`` is a
+    single bit (:func:`repro.core.relations.minimal_bits`).
+    """
+    names = dense.names
+    succ = dense.succ
+    minimal: Dict[int, int] = {}
+    found = []
+    for (src, label), tmask in dense.reach.items():
+        mins = minimal.get(tmask)
+        if mins is None:
+            mins = minimal[tmask] = relations.minimal_bits(tmask, succ)
+        if mins & (mins - 1):
+            found.append(
+                (
+                    names[src],
+                    label,
+                    frozenset(names[i] for i in relations.iter_bits(mins)),
+                )
+            )
+    found.sort(key=lambda item: (sort_key(item[0]), item[1]))
     return found
 
 

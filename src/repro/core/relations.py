@@ -24,6 +24,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     TypeVar,
@@ -42,6 +43,7 @@ __all__ = [
     "reflexive_transitive_closure",
     "closure_insert",
     "iter_bits",
+    "minimal_bits",
     "closure_insert_bits",
     "closure_undo_bits",
     "is_reflexive",
@@ -175,6 +177,27 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def minimal_bits(mask: int, succ: Sequence[int]) -> int:
+    """``MinS`` on dense ids: the bits of *mask* with no strict lower bound in it.
+
+    *succ* is a reflexive up-set table (``succ[i]`` bit *j* set ⇔
+    ``i ==> j``).  Every member's strict up-set is OR'd once and cleared
+    from *mask* — one pass over the members instead of the pairwise
+    test of :func:`minimal_elements`.  A mask has a least element
+    exactly when the result is a single bit.
+
+    >>> bin(minimal_bits(0b111, [0b101, 0b110, 0b100]))
+    '0b11'
+    """
+    above = 0
+    rest = mask
+    while rest:
+        low = rest & -rest
+        above |= succ[low.bit_length() - 1] ^ low
+        rest ^= low
+    return mask & ~above
 
 
 def closure_insert_bits(

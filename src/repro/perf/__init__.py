@@ -24,7 +24,8 @@ preserved cold-path reference implementations in
   dense integer ids, class sets become Python-int bitmasks, and the
   closure kernels run as bulk word-parallel OR/AND.  The pre-bitset
   set-based engine is preserved verbatim in :mod:`repro.perf.setwise`
-  as the benchmark baseline and secondary test oracle.
+  as the benchmark baseline and secondary test oracle.  Properization
+  (section 4.2) runs on the same masks (:mod:`repro.perf.proper`).
 
 ``engine_stats()`` / ``clear_caches()`` are the operational surface:
 benchmarks report the former, tests use the latter to force cold paths.

@@ -16,6 +16,12 @@ pass that closes the union specialization a second time, and per-arrow
 participation lookups in the lower merge.  Do not "optimize" them —
 their slowness is their purpose.
 
+The set-based properization of section 4.2
+(:func:`reference_properize` with its ``I∞`` / ``Imp`` helpers) is kept
+here for the same two jobs against the dense kernels of
+:mod:`repro.perf.proper`: ``tests/test_dense_proper.py`` asserts equal
+results, and the runner's ``kernel_properize`` row times it.
+
 >>> from repro.core.ordering import join_all
 >>> from repro.core.schema import Schema
 >>> pair = [Schema.build(arrows=[("A", "f", "B")]),
@@ -26,11 +32,13 @@ True
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from repro.core import relations
 from repro.core.lower import AnnotatedSchema, complete_classes
+from repro.core.names import ClassName, ImplicitName, Label
 from repro.core.participation import Participation, glb_all, leq
+from repro.core.proper import check_proper
 from repro.core.schema import Arrow, Schema
 from repro.exceptions import IncompatibleSchemasError
 
@@ -41,6 +49,9 @@ __all__ = [
     "reference_compatible",
     "reference_annotated_leq",
     "reference_lower_merge",
+    "reference_reachable_sets",
+    "reference_implicit_sets",
+    "reference_properize",
 ]
 
 
@@ -156,3 +167,117 @@ def reference_lower_merge(
         if combined != Participation.ABSENT:
             table[arrow] = combined
     return AnnotatedSchema(merged_classes, merged_spec, table)
+
+
+def reference_reachable_sets(schema: Schema) -> Set[FrozenSet[ClassName]]:
+    """The paper's ``I∞``: every ``R(X, a)`` reachable from a singleton.
+
+    Computed as a worklist fixpoint.  Only non-empty reach sets are kept
+    (empty sets have ``|MinS| = 0`` and can never contribute an implicit
+    class, and dropping them keeps the fixpoint small).
+    """
+    seen: Set[FrozenSet[ClassName]] = set()
+    frontier: List[FrozenSet[ClassName]] = [
+        frozenset({p}) for p in schema.classes
+    ]
+    labels = schema.labels()
+    while frontier:
+        current = frontier.pop()
+        for label in labels:
+            reached = schema.reach_set(current, label)
+            if reached and reached not in seen:
+                seen.add(reached)
+                frontier.append(reached)
+    return seen
+
+
+def reference_implicit_sets(schema: Schema) -> Set[FrozenSet[ClassName]]:
+    """The paper's ``Imp``: minimal-element sets of size > 1 in ``I∞``."""
+    result: Set[FrozenSet[ClassName]] = set()
+    for reached in reference_reachable_sets(schema):
+        minimal = schema.min_classes(reached)
+        if len(minimal) > 1:
+            result.add(minimal)
+    return result
+
+
+def reference_properize(schema: Schema) -> Schema:
+    """The set-based ``G ↦ Ḡ``: the pre-bitset properization.
+
+    Follows section 4.2 step by step, on name-level sets:
+
+    1. compute ``Imp`` (:func:`reference_implicit_sets`);
+    2. ``C̄ = C ∪ {X̄ | X ∈ Imp}``;
+    3. ``Ē`` keeps every original arrow, points ``x --a--> X̄``
+       whenever ``X ⊆ R(x, a)``, and gives each implicit class the
+       arrows of its member set (``R̄(X̄, a) = R(X, a)``);
+    4. ``S̄`` adds ``X̄ ==> Ȳ`` when every class of ``Y`` has a
+       specialization in ``X``, ``X̄ ==> p`` when some member of ``X``
+       specializes ``p``, and ``p ==> X̄`` when ``p`` specializes every
+       member of ``X``.
+
+    The result is a proper schema with ``schema ⊑ properize(schema)``;
+    both facts are asserted here (cheaply — properness witnesses come
+    for free) and re-checked at scale by the property tests.  A schema
+    that is already proper and has no multi-minimal reach sets is
+    returned unchanged (the construction is idempotent).
+    """
+    imp = reference_implicit_sets(schema)
+    if not imp:
+        return check_proper(schema)
+
+    name_of: Dict[FrozenSet[ClassName], ImplicitName] = {
+        member_set: ImplicitName(member_set) for member_set in imp
+    }
+    # Deduplicate by name: flattening may identify member sets; keep the
+    # minimal classes of their union as the single definition.
+    members_of: Dict[ImplicitName, FrozenSet[ClassName]] = {}
+    for member_set, label in name_of.items():
+        if label in members_of:
+            members_of[label] = schema.min_classes(
+                members_of[label] | member_set
+            )
+        else:
+            members_of[label] = member_set
+
+    new_classes = set(schema.classes) | set(members_of)
+
+    # --- arrows -------------------------------------------------------
+    def reach_bar(node: ClassName, label: Label) -> FrozenSet[ClassName]:
+        if isinstance(node, ImplicitName) and node in members_of:
+            return schema.reach_set(members_of[node], label)
+        return schema.reach(node, label)
+
+    labels = schema.labels()
+    new_arrows: Set[Tuple[ClassName, Label, ClassName]] = set()
+    for node in new_classes:
+        for label in labels:
+            reached = reach_bar(node, label)
+            if not reached:
+                continue
+            for target in reached:
+                new_arrows.add((node, label, target))
+            reached_size = len(reached)
+            for imp_label, imp_members in members_of.items():
+                if len(imp_members) <= reached_size and imp_members <= reached:
+                    new_arrows.add((node, label, imp_label))
+
+    # --- specializations ----------------------------------------------
+    new_spec: Set[Tuple[ClassName, ClassName]] = set(schema.spec)
+    spec_pairs = schema.spec
+    for x_label, x_members in members_of.items():
+        for y_label, y_members in members_of.items():
+            if x_label != y_label and all(
+                any((q, p) in spec_pairs for q in x_members) for p in y_members
+            ):
+                new_spec.add((x_label, y_label))
+        for p in schema.classes:
+            if any((q, p) in spec_pairs for q in x_members):
+                new_spec.add((x_label, p))
+            if all((p, q) in spec_pairs for q in x_members):
+                new_spec.add((p, x_label))
+
+    result = Schema.build(
+        classes=new_classes, arrows=new_arrows, spec=new_spec
+    )
+    return check_proper(result)

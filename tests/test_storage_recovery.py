@@ -36,6 +36,7 @@ from repro.exceptions import (
     CorruptLogError,
     CorruptSnapshotError,
     IncompatibleSchemasError,
+    RetiredSchemaError,
     UnknownSchemaError,
 )
 from repro.perf.reference import reference_join_all
@@ -359,7 +360,8 @@ def run_workload(
             name = op[1]
             try:
                 receipt = service.retire(name)
-            except UnknownSchemaError:
+            except (UnknownSchemaError, RetiredSchemaError):
+                # A name never registered (404) or already retired (410).
                 continue
             for schema in op[2][: len(receipt.versions)]:
                 live.remove(schema)
@@ -452,6 +454,29 @@ class TestRestartEquivalence:
         finally:
             durable.close()
             transient.close()
+
+    def test_retiring_a_name_twice_is_skipped_by_the_runner(self, tmp_path):
+        operations = [
+            ("register", [RegistrationEntry(pets(), name="pets")]),
+            ("retire", "pets", [pets()]),
+            ("retire", "pets", []),
+            ("register", [RegistrationEntry(court())]),
+        ]
+        data = tmp_path / "registry"
+        before = MergeService.open(data)
+        try:
+            live = run_workload(before, operations, save_every=None)
+            assert live == [court()]
+            with pytest.raises(RetiredSchemaError):
+                before.retire("pets")
+            after = MergeService.open(data)
+            try:
+                assert_equivalent(before, after)
+                assert after.merged_view() == reference_join_all(live)
+            finally:
+                after.close()
+        finally:
+            before.close()
 
     def test_mid_stream_retire_and_reregistration_survive_restart(
         self, tmp_path
