@@ -17,8 +17,8 @@ Current suites:
   via pytest.  Acceptance: 200-schema ``join_all`` ≥ ``--min-speedup``
   (5x) over the reference AND 320-schema ``join_all`` ≥
   ``--min-kernel-speedup`` (5x) over the set-based engine AND
-  views-medium ``properize`` on cold inputs ≥
-  ``--min-properize-speedup`` (10x) over the set-based construction
+  views-medium ``properize`` on cold inputs ≥ ``MIN_PROPERIZE_SPEEDUP``
+  (10x) over the set-based construction
   (:func:`repro.perf.reference.reference_properize`).
 * ``service`` — the long-lived :class:`repro.service.MergeService`
   replaying named request streams (:mod:`repro.generators.workloads`).
@@ -84,6 +84,7 @@ from repro.perf.reference import (  # noqa: E402
 ACCEPTANCE_SIZE = 200
 KERNEL_ACCEPTANCE_SIZE = 320
 PROPERIZE_ACCEPTANCE_WORKLOAD = "views-medium"
+MIN_PROPERIZE_SPEEDUP = 10.0
 
 # Suites whose bench_*.py files time through the conftest ``perf_record``
 # fixture (--bench-json) rather than pytest-benchmark.
@@ -530,10 +531,8 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
         summary["properize_speedup"] = properize_acceptance[0][
             "speedup_vs_reference_properize"
         ]
-        summary["min_properize_speedup_required"] = args.min_properize_speedup
-        properize_pass = (
-            summary["properize_speedup"] >= args.min_properize_speedup
-        )
+        summary["min_properize_speedup_required"] = MIN_PROPERIZE_SPEEDUP
+        properize_pass = summary["properize_speedup"] >= MIN_PROPERIZE_SPEEDUP
         summary["acceptance_pass"] = (
             summary.get("acceptance_pass", True) and properize_pass
         )
@@ -542,7 +541,7 @@ def merge_engine_suite(args: argparse.Namespace) -> SuiteResult:
         else:
             print(
                 f"FAIL: properize speedup {summary['properize_speedup']:.2f}x "
-                f"< required {args.min_properize_speedup}x vs set-based",
+                f"< required {MIN_PROPERIZE_SPEEDUP}x vs set-based",
                 file=sys.stderr,
             )
     return records, {"summary": summary, "engine_stats": engine_stats()}
@@ -846,15 +845,6 @@ def main(argv: List[str] = None) -> int:
         help=(
             "merge_engine acceptance floor for 320-schema join_all over "
             "the set-based engine (repro.perf.setwise)"
-        ),
-    )
-    parser.add_argument(
-        "--min-properize-speedup",
-        type=float,
-        default=10.0,
-        help=(
-            "merge_engine acceptance floor for views-medium properize "
-            "over the set-based construction, on cold inputs"
         ),
     )
     parser.add_argument(

@@ -29,8 +29,9 @@ form, the same zero-copy handoff ``join_all`` uses, and its name-level
 relations decode lazily.  Only when the input already carries implicit
 classes (merging with ``strip_derived=False``) can a new implicit name
 coincide with an existing class; that case closes the assembled
-relation on masks first, exactly as the set-based construction closes
-its output.  The set-based construction itself is preserved as
+relation through a :class:`~repro.perf.closure.ClosureBuilder` seeded
+with the weak closure, as the set-based construction closes its output.
+The set-based construction itself is preserved as
 :func:`repro.perf.reference.reference_properize`, the test oracle.
 
 >>> from repro.core.schema import Schema
@@ -58,8 +59,7 @@ from repro.core.names import ClassName, ImplicitName, Label
 from repro.core.proper import check_proper
 from repro.core.relations import iter_bits, minimal_bits
 from repro.core.schema import Schema
-from repro.exceptions import IncompatibleSchemasError
-from repro.perf.closure import ClosureBuilder, DenseClosure, RowTable, _sweep
+from repro.perf.closure import ClosureBuilder, DenseClosure, RowTable
 
 __all__ = [
     "ImpState",
@@ -141,39 +141,33 @@ def member_sets(state: ImpState) -> Set[FrozenSet[ClassName]]:
 
 
 def _close(
-    names: Tuple[ClassName, ...], succ: List[int], rows: RowTable
-) -> RowTable:
-    """Close an assembled relation on masks: ``succ`` in place, rows returned.
+    base: DenseClosure,
+    names: List[ClassName],
+    succ_bar: List[int],
+    reach: RowTable,
+) -> DenseClosure:
+    """Close an assembled relation through a :class:`ClosureBuilder`.
 
     The fallback for inputs whose implicit classes collide with new
-    ones.  ``succ`` is closed transitively by repeated row ORs, checked
-    for antisymmetry (a cycle raises
-    :class:`~repro.exceptions.IncompatibleSchemasError`, as a set-based
-    rebuild would), and the rows are W1/W2-swept.
+    ones.  The builder starts from the weak closure *base*; every
+    specialization and arrow the assembly adds on top of it goes in
+    through :meth:`~ClosureBuilder.add_spec_edge` (a cycle raises
+    :class:`~repro.exceptions.IncompatibleSchemasError`) and
+    :meth:`~ClosureBuilder.add_arrow`, and the builder's sweep closes
+    the rows.
     """
-    changed = True
-    while changed:
-        changed = False
-        for i, mask in enumerate(succ):
-            closed = mask
-            for j in iter_bits(mask):
-                closed |= succ[j]
-            if closed != mask:
-                succ[i] = closed
-                changed = True
-    pred = [0] * len(succ)
-    for i, mask in enumerate(succ):
-        for j in iter_bits(mask ^ (1 << i)):
-            if (succ[j] >> i) & 1:
-                cycle = (names[i], names[j], names[i])
-                raise IncompatibleSchemasError(
-                    "specialization edges form a cycle: "
-                    + " ==> ".join(str(c) for c in cycle),
-                    cycle=cycle,
-                )
-            pred[j] |= 1 << i
-        pred[i] |= 1 << i
-    return _sweep(succ, pred, rows)
+    builder = ClosureBuilder.from_dense(base)
+    n = len(base.names)
+    for cls in names[n:]:
+        builder.add_class(cls)
+    for i, mask in enumerate(succ_bar):
+        old = base.succ[i] if i < n else 1 << i
+        for j in iter_bits(mask & ~old):
+            builder.add_spec_edge(names[i], names[j])
+    for (src, label), tmask in reach.items():
+        for t in iter_bits(tmask & ~base.reach.get((src, label), 0)):
+            builder.add_arrow(names[src], label, names[t])
+    return builder.dense_state()
 
 
 def properize(schema: Schema, state: Optional[ImpState] = None) -> Schema:
@@ -219,7 +213,7 @@ def properize(schema: Schema, state: Optional[ImpState] = None) -> Schema:
             imp_ids.append((len(names), mask))
             names.append(implicit)
     # The emitted rows are closed only for distinct antichains of two or
-    # more classes under fresh names; anything else is closed on masks.
+    # more classes under fresh names; anything else goes through _close.
     masks = [mask for _ident, mask in imp_ids]
     needs_closure = (
         base_ids is not None
@@ -255,11 +249,12 @@ def properize(schema: Schema, state: Optional[ImpState] = None) -> Schema:
     succ_bar = [with_imp(mask) for mask in succ]
     succ_bar.extend(1 << i for i in range(n, len(names)))
     replaced = {ident for ident, _mask in imp_ids if ident < n}
-    reach: RowTable = {
-        key: with_imp(tmask)
+    kept: RowTable = {
+        key: tmask
         for key, tmask in dense.reach.items()
         if key[0] not in replaced
     }
+    reach: RowTable = {key: with_imp(tmask) for key, tmask in kept.items()}
     for ident, mask in imp_ids:
         members = list(iter_bits(mask))
         up = 0
@@ -273,10 +268,11 @@ def properize(schema: Schema, state: Optional[ImpState] = None) -> Schema:
             if acc:
                 reach[(ident, label)] = with_imp(acc)
 
-    name_table = tuple(names)
     if needs_closure:
-        reach = _close(name_table, succ_bar, reach)
-    result = DenseClosure(name_table, tuple(succ_bar), reach)
+        base = DenseClosure(dense.names, dense.succ, kept)
+        result = _close(base, names, succ_bar, reach)
+    else:
+        result = DenseClosure(tuple(names), tuple(succ_bar), reach)
     return check_proper(
-        Schema._from_closed(frozenset(name_table), None, None, dense=result)
+        Schema._from_closed(frozenset(result.names), None, None, dense=result)
     )

@@ -68,7 +68,8 @@ def outcome(fn: Any, schema: Schema) -> Tuple[str, Any]:
     except NotProperError as exc:
         return "NotProperError", str(exc)
     except IncompatibleSchemasError:
-        # The witness cycle may be found from a different start node.
+        # The dense witness is ClosureBuilder's insertion point, the
+        # set-based one Schema.build's cycle search.
         return "IncompatibleSchemasError", None
 
 
